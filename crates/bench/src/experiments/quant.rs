@@ -262,12 +262,11 @@ pub fn render(result: &QuantResult) -> String {
     } else {
         out.push_str(&format!(
             "\nnote: int8 trails f32 on the largest batch cell (calib {}, batch {}: \
-             {:.1} vs {:.1} img/s). This build runs scalar kernels on a single \
-             core with no int8 dot-product hardware, so the i8 matmul moves \
-             fewer bytes but retires the same multiply count, and each image \
-             pays an extra O(C*H*W) activation-quantize pass; the deploy wins \
-             here are the {:.2}x weight compression and the bounded accuracy \
-             delta, not wall-clock.\n",
+             {:.1} vs {:.1} img/s). Off x86_64 the i8 matmul falls back to a \
+             scalar loop that retires one multiply per MAC, and each image pays \
+             an extra O(C*H*W) activation-quantize pass; the deploy wins there \
+             are the {:.2}x weight compression and the bounded accuracy delta, \
+             not wall-clock.\n",
             headline.calib,
             headline.batch,
             headline.int8_ips,

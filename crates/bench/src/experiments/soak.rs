@@ -82,11 +82,6 @@ fn cell_config(weather: Weather, rig: &Rig, frames: u64, window: u64) -> SoakCon
         .with_constant_weather(weather);
     config.frames = frames;
     config.window = window;
-    // The global scratch counter is process-wide and monotone; with many
-    // cells sharing this process a later cell would inherit an earlier
-    // cell's peak, so the plateau probe is only meaningful in the CLI's
-    // single-scenario run (`roadseg soak`), not here.
-    config.check_memory = false;
     config
 }
 

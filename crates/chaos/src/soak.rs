@@ -12,10 +12,12 @@
 //! 1. **Conservation every window** — at each window boundary the fleet
 //!    is quiescent and `submitted == completed + rejected + expired +
 //!    failed + redirected`, plus the router-vs-replica cross-check.
-//! 2. **Bounded memory** — the scratch-arena pool's high-water mark
-//!    ([`sf_tensor::scratch::pool_stats`]) must plateau: the final peak
-//!    is already reached in the first quarter of the run. Monotonic
-//!    growth here is a leak the conservation counters cannot see.
+//! 2. **Bounded memory** — the run's scratch-arena high-water mark must
+//!    plateau: the final peak is already reached in the first quarter of
+//!    the run. Monotonic growth here is a leak the conservation counters
+//!    cannot see. The mark comes from a [`sf_tensor::scratch::Ledger`]
+//!    attached to the driving thread and the fleet's executors, so other
+//!    scratch users in the same process do not move it.
 //! 3. **Breaker schedule** — exactly the sources given fault bursts trip
 //!    their per-source circuit breakers, and every tripped breaker has
 //!    recovered (closed) by the end of the run; burst-free sources never
@@ -111,10 +113,6 @@ pub struct SoakConfig {
     pub breaker: BreakerConfig,
     /// Depth densification iterations per mount image.
     pub fill_iterations: usize,
-    /// Enforce the scratch-peak plateau (invariant 2). The counter is
-    /// process-global, so tests sharing a process with other scratch
-    /// users disable this; the `roadseg soak` CLI always checks it.
-    pub check_memory: bool,
 }
 
 impl SoakConfig {
@@ -173,7 +171,6 @@ impl SoakConfig {
                 seed: 23,
             },
             fill_iterations: 2,
-            check_memory: true,
         }
     }
 
@@ -312,7 +309,7 @@ pub struct WindowSummary {
     pub submitted: u64,
     /// Fleet legs completed so far (cumulative).
     pub completed: u64,
-    /// Scratch-pool high-water mark at the boundary, bytes.
+    /// The run's scratch-ledger high-water mark at the boundary, bytes.
     pub scratch_peak_bytes: usize,
     /// Weather in effect at the boundary.
     pub weather: Weather,
@@ -486,6 +483,9 @@ impl std::error::Error for SoakError {
 /// Returns the first [`SoakError`] encountered.
 pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, SoakError> {
     config.validate()?;
+    // Attached before the fleet starts, so its executors inherit it.
+    let ledger = sf_tensor::scratch::Ledger::new();
+    let _attached = ledger.attach();
     let net_config = NetworkConfig::tiny();
     let net =
         FusionNet::new(FusionScheme::AllFilterU, &net_config).map_err(|e| SoakError::Config {
@@ -627,7 +627,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, SoakError> {
                     end_frame: frame,
                     submitted: stats.submitted,
                     completed: stats.completed,
-                    scratch_peak_bytes: sf_tensor::scratch::pool_stats().peak_bytes,
+                    scratch_peak_bytes: ledger.stats().peak_bytes,
                     weather,
                 });
             }
@@ -645,23 +645,21 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, SoakError> {
         .iter()
         .position(|w| w.scratch_peak_bytes == final_peak)
         .unwrap_or(0);
-    if config.check_memory {
-        let budget = windows.len().div_ceil(4).max(1) - 1;
-        if plateau_window > budget {
-            return Err(SoakError::MemoryGrowth {
-                detail: format!(
-                    "final scratch peak {final_peak} B first reached at window {} of {}, \
-                     past the first-quarter budget (window {}); peaks: {:?}",
-                    plateau_window + 1,
-                    windows.len(),
-                    budget + 1,
-                    windows
-                        .iter()
-                        .map(|w| w.scratch_peak_bytes)
-                        .collect::<Vec<_>>()
-                ),
-            });
-        }
+    let budget = windows.len().div_ceil(4).max(1) - 1;
+    if plateau_window > budget {
+        return Err(SoakError::MemoryGrowth {
+            detail: format!(
+                "final scratch peak {final_peak} B first reached at window {} of {}, \
+                 past the first-quarter budget (window {}); peaks: {:?}",
+                plateau_window + 1,
+                windows.len(),
+                budget + 1,
+                windows
+                    .iter()
+                    .map(|w| w.scratch_peak_bytes)
+                    .collect::<Vec<_>>()
+            ),
+        });
     }
 
     // Invariant 3: trips happened exactly where the schedule injected
@@ -711,9 +709,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, SoakError> {
 mod tests {
     use super::*;
 
-    /// A test-sized scenario. Memory checking is off because the scratch
-    /// counter is process-global and other tests in this binary also use
-    /// the pool; `roadseg soak` (its own process) asserts it.
+    /// A test-sized scenario, with every invariant checked.
     fn test_config() -> SoakConfig {
         SoakConfig {
             frames: 60,
@@ -729,7 +725,6 @@ mod tests {
                 frame: 6,
                 frames: 8,
             }],
-            check_memory: false,
             ..SoakConfig::full()
         }
     }
@@ -743,6 +738,8 @@ mod tests {
         a.stats.cross_check().unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.windows.len(), 4);
+        // The memory probe sees the run's own pooled frame buffers.
+        assert!(a.windows.iter().all(|w| w.scratch_peak_bytes > 0));
         // Every frame fans out one leg per mount.
         assert_eq!(a.stats.completed, 60 * 2);
     }

@@ -375,6 +375,11 @@ mod tests {
         // reloaded int8 plan is bit-identical.
         let mut net2 = loaded.net;
         let mut q2 = CompiledPlan::compile_int8(&net2, &restored, PlanMode::Int8).unwrap();
+        assert_eq!(
+            q2.int8_weight_grids(),
+            q1.int8_weight_grids(),
+            "dequantized weights requantize to the identical int8 grid"
+        );
         let got = q2.run_batch(&rgb, Some(&depth)).unwrap();
         assert_eq!(got.data(), want.data(), "reload is bit-exact");
 

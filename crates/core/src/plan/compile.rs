@@ -948,6 +948,19 @@ impl CompiledPlan {
             .sum()
     }
 
+    /// Each int8 conv's quantized weight grid, in op order (empty on f32
+    /// plans).
+    #[cfg(test)]
+    pub(crate) fn int8_weight_grids(&self) -> Vec<&[i8]> {
+        self.ops
+            .iter()
+            .filter_map(|op| match op {
+                PlanOp::QConv(c) => Some(c.wq.as_slice()),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Exact peak of simultaneously-live values (plus the in-flight conv
     /// workspace) per image, computed from the schedule's birth/death
     /// events at compile time. Always ≤ [`Self::reservation_per_image`].

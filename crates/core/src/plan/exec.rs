@@ -476,9 +476,10 @@ fn exec_conv(
 
 /// The int8 convolution kernel. Per image: quantize the input plane with
 /// the calibrated activation scale, unfold it with the i8 `im2col`,
-/// multiply against the per-channel-quantized weights in i32, dequantize
-/// through `in_scale · wscale[oc]`, then run the identical f32 epilogue
-/// as [`exec_conv`] (`+bias`, folded BatchNorm, ReLU, `+accumulate`).
+/// multiply against the per-channel-quantized weights in i32, then one
+/// pass that dequantizes through `in_scale · wscale[oc]` and applies the
+/// identical f32 epilogue as [`exec_conv`] (`+bias`, folded BatchNorm,
+/// ReLU, `+accumulate`) in the same per-element order.
 ///
 /// i32 accumulation is exactly associative, so outputs are bit-identical
 /// run to run regardless of thread count or tiling — int8 plans are
@@ -532,41 +533,36 @@ fn exec_qconv(
         );
         accbuf.fill(0);
         matmul_i8_into(&op.wq, qcols, accbuf, g.out_c, patch, cols);
-        for oc in 0..g.out_c {
+        // Dequantize and epilogue in one pass; each element's operations
+        // keep `exec_conv`'s order, so the rounding is unchanged.
+        let sum = acc.map(|a| &a[img * out_plane..(img + 1) * out_plane]);
+        for (oc, (drow, arow)) in dst
+            .chunks_exact_mut(cols)
+            .zip(accbuf.chunks_exact(cols))
+            .enumerate()
+        {
             let mul = op.in_scale * op.wscale[oc];
-            for (v, &a) in dst[oc * cols..(oc + 1) * cols]
-                .iter_mut()
-                .zip(&accbuf[oc * cols..(oc + 1) * cols])
-            {
-                *v = a as f32 * mul;
-            }
-        }
-        if let Some(bias) = &op.bias {
-            for (oc, &bv) in bias.iter().enumerate() {
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v += bv;
+            let bias = op.bias.as_ref().map(|b| b[oc]);
+            let bn = op
+                .bn
+                .as_ref()
+                .map(|bn| (bn.mean[oc], bn.scale[oc], bn.gamma[oc], bn.beta[oc]));
+            let srow = sum.map(|s| &s[oc * cols..(oc + 1) * cols]);
+            for (j, (v, &a)) in drow.iter_mut().zip(arow).enumerate() {
+                let mut x = a as f32 * mul;
+                if let Some(b) = bias {
+                    x += b;
                 }
-            }
-        }
-        if let Some(bn) = &op.bn {
-            for oc in 0..g.out_c {
-                let (m, s, ga, be) = (bn.mean[oc], bn.scale[oc], bn.gamma[oc], bn.beta[oc]);
-                for v in &mut dst[oc * cols..(oc + 1) * cols] {
-                    *v = ((*v - m) * s) * ga + be;
+                if let Some((m, s, ga, be)) = bn {
+                    x = ((x - m) * s) * ga + be;
                 }
-            }
-        }
-        if op.relu {
-            for v in dst.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        if let Some(a) = acc {
-            for (v, &av) in dst
-                .iter_mut()
-                .zip(&a[img * out_plane..(img + 1) * out_plane])
-            {
-                *v += av;
+                if op.relu {
+                    x = x.max(0.0);
+                }
+                if let Some(s) = srow {
+                    x += s[j];
+                }
+                *v = x;
             }
         }
     });

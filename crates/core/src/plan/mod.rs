@@ -284,6 +284,7 @@ mod tests {
     use super::*;
     use crate::config::{FusionScheme, NetworkConfig};
     use crate::trainer::{train, TrainConfig};
+    use compile::PlanOp;
     use sf_autograd::Graph;
     use sf_dataset::{DatasetConfig, RoadDataset};
     use sf_nn::Mode;
@@ -484,13 +485,7 @@ mod tests {
         config: &NetworkConfig,
         seed: u64,
     ) -> CalibrationProfile {
-        let mut rng = TensorRng::seed_from(seed);
-        let rgb = rng.uniform(&[2, 3, config.height, config.width], 0.0, 1.0);
-        let depth = rng.uniform(
-            &[2, config.depth_channels, config.height, config.width],
-            0.0,
-            1.0,
-        );
+        let (rgb, depth) = calibration_frames(config, seed);
         let mut profile = CalibrationProfile::new();
         let mut fused = CompiledPlan::compile(net, PlanMode::Fused);
         fused
@@ -507,6 +502,35 @@ mod tests {
             .expect("camera calibration pass");
         profile.merge_max(&cam_profile);
         profile
+    }
+
+    /// The two seeded `[rgb, depth]` frames `calibrated_profile` streams.
+    fn calibration_frames(config: &NetworkConfig, seed: u64) -> (Tensor, Tensor) {
+        let mut rng = TensorRng::seed_from(seed);
+        let rgb = rng.uniform(&[2, 3, config.height, config.width], 0.0, 1.0);
+        let depth = rng.uniform(
+            &[2, config.depth_channels, config.height, config.width],
+            0.0,
+            1.0,
+        );
+        (rgb, depth)
+    }
+
+    /// The output `label` writes in one observed run of `plan`.
+    fn observed_output(
+        plan: &mut CompiledPlan,
+        rgb: &Tensor,
+        depth: &Tensor,
+        label: &str,
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        plan.run_batch_observed(rgb, Some(depth), &mut |l, data| {
+            if l == label {
+                out = data.to_vec();
+            }
+        })
+        .expect("observed run");
+        out
     }
 
     #[test]
@@ -542,6 +566,49 @@ mod tests {
             assert!(
                 agree as f64 >= 0.95 * total as f64,
                 "{scheme}: only {agree}/{total} pixels agree"
+            );
+
+            // The first int8 conv tracks its f32 twin within the
+            // quantization noise bound. On the calibration frames no
+            // activation clamps, so each of the `patch` products carries
+            // an input error ≤ s_a/2 (|w| ≤ 127·s_w) and a weight error
+            // ≤ s_w/2 (|x̂| ≤ 127·s_a + s_a/2); the folded BatchNorm
+            // scales the sum by |scale·γ| and ReLU never widens it.
+            let qop = q
+                .ops
+                .iter()
+                .find_map(|op| match op {
+                    PlanOp::QConv(c) => Some(c.clone()),
+                    _ => None,
+                })
+                .expect("int8 plan has a conv");
+            let (crgb, cdepth) = calibration_frames(&config, 160 + s as u64);
+            let qout = observed_output(&mut q, &crgb, &cdepth, &qop.label);
+            let fout = observed_output(&mut f32_plan, &crgb, &cdepth, &qop.label);
+            let g = qop.geom;
+            assert_eq!(qout.len(), 2 * g.out_c * g.cols(), "{scheme}");
+            let sa = qop.in_scale;
+            for (i, (&qv, &fv)) in qout.iter().zip(&fout).enumerate() {
+                let oc = i / g.cols() % g.out_c;
+                let sw = qop.wscale[oc];
+                let slope = qop
+                    .bn
+                    .as_ref()
+                    .map_or(1.0, |bn| (bn.scale[oc] * bn.gamma[oc]).abs());
+                let bound = slope
+                    * g.patch() as f32
+                    * (127.0 * sw * sa / 2.0 + (127.0 * sa + sa / 2.0) * sw / 2.0)
+                    + 1e-4;
+                assert!(
+                    (qv - fv).abs() <= bound,
+                    "{scheme} {}: element {i}: int8 {qv} vs f32 {fv} (bound {bound})",
+                    qop.label
+                );
+            }
+            // ...and it is not a degenerate all-zero match.
+            assert!(
+                qout.iter().any(|&v| v != 0.0),
+                "{scheme}: all-zero int8 conv"
             );
 
             // i32 accumulation is exactly associative: reruns and
@@ -627,6 +694,17 @@ mod tests {
             qb * 3 < fb && qb * 5 > fb,
             "int8 weights {qb} bytes vs f32 {fb} — expected ≈4x shrink"
         );
+        // Exactly one byte per weight plus one f32 scale per output
+        // channel.
+        let out_channels: usize = f32_plan
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                PlanOp::Conv(c) => Some(c.geom.out_c),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(qb, fb / 4 + out_channels * 4);
     }
 
     #[test]

@@ -185,9 +185,15 @@ impl Server {
             staged: Mutex::new(None),
         });
         let executor_inner = Arc::clone(&inner);
+        // The executor pools its batch buffers on behalf of whoever
+        // started the server, so it counts toward the same scratch ledger.
+        let ledger = sf_tensor::scratch::Ledger::current();
         let executor = std::thread::Builder::new()
             .name("sf-serve-executor".to_string())
-            .spawn(move || executor_loop(net, &executor_inner))
+            .spawn(move || {
+                let _attached = ledger.as_ref().map(sf_tensor::scratch::Ledger::attach);
+                executor_loop(net, &executor_inner)
+            })
             .expect("failed to spawn sf-serve executor");
         Ok(Server {
             inner,

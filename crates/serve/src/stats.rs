@@ -74,7 +74,8 @@ pub struct StatsSnapshot {
     /// High-water mark of the scratch-arena pool across all threads,
     /// bytes, at snapshot time (see [`sf_tensor::scratch::pool_stats`]).
     /// Thread-scheduling dependent — excluded from determinism
-    /// fingerprints; the soak harness asserts it *plateaus* instead.
+    /// fingerprints. The soak harness asserts a plateau on its own
+    /// [`sf_tensor::scratch::Ledger`], not on this process-wide mark.
     pub scratch_peak_bytes: usize,
     /// Version of the model currently serving (0 until the first
     /// [`Server::stage_model`] swap is claimed by the executor).

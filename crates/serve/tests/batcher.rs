@@ -504,3 +504,44 @@ fn batched_results_are_identical_to_batch_of_one_serving() {
     }
     single_server.shutdown();
 }
+
+#[test]
+fn executors_count_toward_the_starting_threads_scratch_ledger() {
+    use sf_tensor::scratch::{self, Ledger};
+
+    let ledger = Ledger::new();
+    let attached = ledger.attach();
+    let (net, config) = tiny_net();
+    // The probe runs on the executor thread: every batch pools one
+    // 4 KiB buffer there, which only the ledger's inheritance can see
+    // from this thread.
+    let server = Server::start(
+        net,
+        ServeConfig::builder()
+            .batch_probe(BatchProbe::new(|_| scratch::recycle(vec![0.0; 1024])))
+            .build()
+            .expect("valid serve config"),
+    )
+    .expect("valid serve config");
+    let (rgb, depth) = frame_pair(&config, 40);
+    server
+        .submit(Request::new(rgb, depth))
+        .expect("queue has room")
+        .wait()
+        .expect("served");
+    // The executor may loan the buffer straight back out (batch
+    // stacking), so check the high-water mark, not residency.
+    let own = scratch::stats().peak_bytes;
+    assert!(
+        ledger.stats().peak_bytes >= own + 1024 * std::mem::size_of::<f32>(),
+        "ledger {:?} vs this thread {:?}",
+        ledger.stats(),
+        scratch::stats()
+    );
+    server.shutdown();
+    // The executor detached as it exited: only this thread's residency
+    // is left on the ledger.
+    assert_eq!(ledger.stats().held_bytes, scratch::stats().held_bytes);
+    drop(attached);
+    assert_eq!(ledger.stats().held_bytes, 0);
+}

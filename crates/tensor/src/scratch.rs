@@ -28,6 +28,10 @@
 //! largest kept): the goal is steady-state reuse in hot loops, not a
 //! general allocator.
 //!
+//! Residency is counted three ways: per thread ([`stats`]), process-wide
+//! ([`pool_stats`]), and per [`Ledger`] — the threads one run attached,
+//! so a run can watch its own arena while other work shares the process.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,7 +43,9 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Maximum buffers kept per thread: enough for every intermediate tensor
 /// of one batched forward pass, so a graph dropped after inference can
@@ -61,6 +67,8 @@ thread_local! {
     static HELD_ELEMS_I8: Cell<usize> = const { Cell::new(0) };
     /// High-water mark of this thread's pooled bytes (f32 + i8 lists).
     static PEAK_BYTES: Cell<usize> = const { Cell::new(0) };
+    /// The ledger this thread's residency is counted toward, if any.
+    static LEDGER: RefCell<Option<Ledger>> = const { RefCell::new(None) };
 }
 
 // Process-wide mirrors of the per-thread counters, maintained with
@@ -85,6 +93,10 @@ pub struct ScratchStats {
     pub peak_bytes: usize,
 }
 
+fn thread_buffers() -> usize {
+    FREE_LIST.with(|c| c.borrow().len()) + FREE_LIST_I8.with(|c| c.borrow().len())
+}
+
 fn thread_held_bytes() -> usize {
     HELD_ELEMS.with(Cell::get) * std::mem::size_of::<f32>() + HELD_ELEMS_I8.with(Cell::get)
 }
@@ -97,12 +109,22 @@ fn pool_grew(bytes: usize) {
     GLOBAL_PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
     let held = thread_held_bytes();
     PEAK_BYTES.with(|p| p.set(p.get().max(held)));
+    with_ledger(|ledger| ledger.add(bytes, 1));
 }
 
 /// Records `bytes` leaving a free list (one buffer taken or evicted).
 fn pool_shrank(bytes: usize) {
     GLOBAL_BUFFERS.fetch_sub(1, Ordering::Relaxed);
     GLOBAL_HELD_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+    with_ledger(|ledger| ledger.sub(bytes, 1));
+}
+
+fn with_ledger(f: impl FnOnce(&Ledger)) {
+    LEDGER.with(|cell| {
+        if let Some(ledger) = &*cell.borrow() {
+            f(ledger);
+        }
+    });
 }
 
 thread_local! {
@@ -138,7 +160,7 @@ impl Drop for ExitGuard {
 pub fn stats() -> ScratchStats {
     ScratchStats {
         held_bytes: thread_held_bytes(),
-        buffers: FREE_LIST.with(|c| c.borrow().len()) + FREE_LIST_I8.with(|c| c.borrow().len()),
+        buffers: thread_buffers(),
         peak_bytes: PEAK_BYTES.with(Cell::get),
     }
 }
@@ -158,6 +180,114 @@ pub fn pool_stats() -> ScratchStats {
         held_bytes: GLOBAL_HELD_BYTES.load(Ordering::Relaxed),
         buffers: GLOBAL_BUFFERS.load(Ordering::Relaxed),
         peak_bytes: GLOBAL_PEAK_BYTES.load(Ordering::Relaxed),
+    }
+}
+
+/// Arena counters scoped to the threads attached to it — one run's share
+/// of the process-wide [`pool_stats`]. Other work in the process (sibling
+/// tests, a second fleet) pools on its own threads and never moves a
+/// ledger it did not attach to, so a ledger's peak is a bounded-memory
+/// probe for one run that stays valid in a shared process.
+///
+/// A thread counts toward at most one ledger at a time, from
+/// [`Ledger::attach`] until the returned guard drops; attaching carries
+/// the thread's current residency over, so the counters always equal the
+/// sum of what the attached threads' free lists hold. The
+/// [`sf_runtime`] pool's workers are shared by the whole process and are
+/// never attached: a ledger sees what its own threads pool, which is every
+/// buffer of a run when the pool has one thread (`SF_THREADS=1`).
+///
+/// # Examples
+///
+/// ```
+/// use sf_tensor::scratch::{self, Ledger};
+///
+/// let ledger = Ledger::new();
+/// let attached = ledger.attach();
+/// scratch::recycle(vec![0.0f32; 256]);
+/// assert_eq!(ledger.stats().held_bytes, scratch::stats().held_bytes);
+/// // Detaching takes the thread's residency off; the peak stays.
+/// drop(attached);
+/// assert_eq!(ledger.stats().held_bytes, 0);
+/// assert!(ledger.stats().peak_bytes >= 256 * 4);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Ledger(Arc<LedgerCounters>);
+
+#[derive(Debug, Default)]
+struct LedgerCounters {
+    held_bytes: AtomicUsize,
+    peak_bytes: AtomicUsize,
+    buffers: AtomicUsize,
+}
+
+impl Ledger {
+    /// A fresh ledger with no threads attached and zeroed counters.
+    pub fn new() -> Ledger {
+        Ledger::default()
+    }
+
+    /// The ledger the calling thread is attached to, if any — for code
+    /// that spawns threads on a run's behalf and attaches them too.
+    pub fn current() -> Option<Ledger> {
+        LEDGER.with(|cell| cell.borrow().clone())
+    }
+
+    /// Counts the calling thread toward this ledger until the guard
+    /// drops, then restores whatever the thread counted toward before.
+    pub fn attach(&self) -> Attached {
+        let previous = LEDGER.with(|cell| cell.replace(Some(self.clone())));
+        let (bytes, buffers) = (thread_held_bytes(), thread_buffers());
+        if let Some(previous) = &previous {
+            previous.sub(bytes, buffers);
+        }
+        self.add(bytes, buffers);
+        Attached {
+            previous,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// Current residency and high-water mark over the attached threads.
+    pub fn stats(&self) -> ScratchStats {
+        let counters = &self.0;
+        ScratchStats {
+            held_bytes: counters.held_bytes.load(Ordering::Relaxed),
+            buffers: counters.buffers.load(Ordering::Relaxed),
+            peak_bytes: counters.peak_bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    fn add(&self, bytes: usize, buffers: usize) {
+        let counters = &self.0;
+        counters.buffers.fetch_add(buffers, Ordering::Relaxed);
+        let now = counters.held_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        counters.peak_bytes.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn sub(&self, bytes: usize, buffers: usize) {
+        let counters = &self.0;
+        counters.buffers.fetch_sub(buffers, Ordering::Relaxed);
+        counters.held_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Guard returned by [`Ledger::attach`]; dropping it detaches the thread.
+/// Bound to the attaching thread (not `Send`).
+#[must_use = "the thread detaches as soon as the guard drops"]
+pub struct Attached {
+    previous: Option<Ledger>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Attached {
+    fn drop(&mut self) {
+        let (bytes, buffers) = (thread_held_bytes(), thread_buffers());
+        let current = LEDGER.with(|cell| cell.replace(self.previous.take()));
+        if let Some(current) = current {
+            current.sub(bytes, buffers);
+        }
+        with_ledger(|previous| previous.add(bytes, buffers));
     }
 }
 
@@ -418,6 +548,67 @@ mod tests {
         // worker's buffer is still held (its thread never took it back).
         assert!(pool.peak_bytes >= (1 << 16) * std::mem::size_of::<f32>());
         assert!(pool.peak_bytes >= pool.held_bytes || pool.buffers > 0);
+    }
+
+    #[test]
+    fn ledgers_count_only_their_attached_threads() {
+        let ledger = Ledger::new();
+        std::thread::spawn({
+            let ledger = ledger.clone();
+            move || {
+                let _attached = ledger.attach();
+                recycle(take_zeroed(1000));
+            }
+        })
+        .join()
+        .unwrap();
+        let owned = ledger.stats();
+        assert!(owned.peak_bytes >= 1000 * std::mem::size_of::<f32>());
+        // The attached thread exited after detaching: nothing is held on
+        // the ledger's behalf any more, but the peak stays.
+        assert_eq!((owned.held_bytes, owned.buffers), (0, 0));
+        // An unattached thread pooling a much bigger buffer moves the
+        // process-wide counters but not the ledger.
+        std::thread::spawn(|| recycle(take_zeroed(1 << 20)))
+            .join()
+            .unwrap();
+        assert!(pool_stats().peak_bytes >= (1 << 20) * std::mem::size_of::<f32>());
+        assert_eq!(ledger.stats(), owned);
+    }
+
+    #[test]
+    fn attaching_carries_residency_over_and_detaching_restores_it() {
+        std::thread::spawn(|| {
+            recycle(take_zeroed(300));
+            let held = stats().held_bytes;
+            let outer = Ledger::new();
+            let inner = Ledger::new();
+            let outer_guard = outer.attach();
+            assert_eq!(Ledger::current().map(|l| l.stats()), Some(outer.stats()));
+            assert_eq!(outer.stats().held_bytes, held);
+            {
+                let _inner_guard = inner.attach();
+                // The thread's residency moved to the innermost ledger.
+                assert_eq!(outer.stats().held_bytes, 0);
+                assert_eq!(inner.stats().held_bytes, held);
+                recycle(take_zeroed(5000));
+                assert_eq!(inner.stats().held_bytes, stats().held_bytes);
+                assert_eq!(inner.stats().buffers, stats().buffers);
+            }
+            // Back on the outer ledger, with everything the thread holds.
+            assert_eq!(inner.stats().held_bytes, 0);
+            assert!(inner.stats().peak_bytes >= held + 5000 * 4);
+            assert_eq!(outer.stats().held_bytes, stats().held_bytes);
+            // Loans and returns move the attached ledger both ways.
+            let buf = take_zeroed(5000);
+            assert_eq!(outer.stats().held_bytes, stats().held_bytes);
+            recycle(buf);
+            drop(outer_guard);
+            assert!(Ledger::current().is_none());
+            assert_eq!(outer.stats().held_bytes, 0);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -41,8 +41,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test -q, at SF_THREADS=1 and SF_THREADS=2"
+# One thread runs every kernel's serial path; two run the pool-split
+# paths (e.g. the int8 matmul's row split), so failures that depend on
+# the thread count show up here whatever the host's core count.
+for threads in 1 2; do
+    echo "    SF_THREADS=$threads"
+    SF_THREADS=$threads cargo test -q
+done
 
 echo "==> fault-matrix smoke (sensor fault injection + graceful degradation)"
 cargo test -q -p sf-bench --test experiments_smoke fault_matrix_smoke
